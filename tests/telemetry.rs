@@ -9,7 +9,10 @@
 //! * pool hits + misses == node acquisitions (one per enqueue),
 //! * observed helping depth never exceeds the paper's `MAX_THREADS - 1`
 //!   overtaking bound,
-//! * registry slot claims == releases once every thread has exited.
+//! * registry slot claims == releases once every thread has exited,
+//! * a per-item (`seg_size(1)`) segment queue never claims a cell,
+//! * bounded-ring fast + slow path counts == completed ops, per side,
+//! * drained sharded queue: home-lane enqueues == dequeue hits + steals.
 //!
 //! Every exact assertion is gated on `turnq_telemetry::ENABLED`, so the
 //! same test compiles and passes with `--no-default-features` (where the
@@ -18,38 +21,36 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use turnq_repro::api::{QueueIntrospect, TelemetrySnapshot};
 use turnq_repro::telemetry::{CounterId, OpKey};
-use turnq_repro::TurnQueue;
+use turnq_repro::{BoundedBuilder, ConcurrentQueue, ShardedBuilder, TurnQueue, TurnQueueBuilder};
 
 const THREADS: usize = 8;
 const PER_THREAD: u64 = 20_000;
 
-/// Half the threads enqueue, half dequeue until they have drained their
-/// share; returns (items dequeued by workers, items drained at the end).
-fn churn(queue: &Arc<TurnQueue<u64>>) -> (u64, u64) {
-    let producers = THREADS / 2;
-    let consumers = THREADS - producers;
-    let consumed = Arc::new(AtomicU64::new(0));
+/// Half of `threads` enqueue, the rest dequeue until they have drained
+/// their share; returns (items dequeued by workers, items drained at the
+/// end).
+fn churn<Q: ConcurrentQueue<u64>>(queue: &Q, threads: usize) -> (u64, u64) {
+    let producers = threads / 2;
+    let consumers = threads - producers;
+    let consumed = AtomicU64::new(0);
     let target = producers as u64 * PER_THREAD;
     std::thread::scope(|s| {
         for p in 0..producers {
-            let queue = Arc::clone(queue);
             s.spawn(move || {
-                let handle = queue.handle().expect("slot");
                 for i in 0..PER_THREAD {
-                    handle.enqueue((p as u64) << 32 | i);
+                    queue.enqueue((p as u64) << 32 | i);
                 }
             });
         }
         for _ in 0..consumers {
-            let queue = Arc::clone(queue);
-            let consumed = Arc::clone(&consumed);
+            let consumed = &consumed;
             s.spawn(move || {
-                let handle = queue.handle().expect("slot");
                 // Stop a little early so the final queue is non-empty and
                 // the size term of the invariant is exercised.
                 while consumed.load(Ordering::Relaxed) < target - 64 {
-                    if handle.dequeue().is_some() {
+                    if queue.dequeue().is_some() {
                         consumed.fetch_add(1, Ordering::Relaxed);
                     } else {
                         std::thread::yield_now();
@@ -62,10 +63,22 @@ fn churn(queue: &Arc<TurnQueue<u64>>) -> (u64, u64) {
     (worker_consumed, target - worker_consumed)
 }
 
+/// Churn `queue` on 2 threads, drain it on this one, and return its
+/// telemetry snapshot.
+fn churn_and_drain<Q: ConcurrentQueue<u64> + QueueIntrospect>(queue: &Q) -> TelemetrySnapshot {
+    let (_, leftover) = churn(queue, 2);
+    let mut drained = 0;
+    while queue.dequeue().is_some() {
+        drained += 1;
+    }
+    assert_eq!(drained, leftover);
+    queue.telemetry_snapshot().expect("queue carries a telemetry sheet")
+}
+
 #[test]
 fn counters_are_internally_consistent_after_quiesce() {
     let queue: Arc<TurnQueue<u64>> = Arc::new(TurnQueue::with_max_threads(THREADS + 1));
-    let (worker_consumed, leftover) = churn(&queue);
+    let (worker_consumed, leftover) = churn(&*queue, THREADS);
 
     // Snapshot *before* draining: enqueues == dequeues + current size.
     let snap = queue.telemetry_snapshot();
@@ -107,13 +120,59 @@ fn counters_are_internally_consistent_after_quiesce() {
             snap.counter(CounterId::DeqOps)
         );
     }
+
+    // Per-item segment mode never claims a segment cell.
+    let seg = TurnQueueBuilder::new().max_threads(3).seg_size(1).build_seg::<u64>();
+    let snap = churn_and_drain(&seg);
+    if turnq_telemetry::ENABLED {
+        assert!(snap.counter(CounterId::EnqOps) > 0);
+    } else {
+        assert_eq!(snap.counter(CounterId::EnqOps), 0);
+    }
+    assert_eq!(snap.counter(CounterId::SegEnqCellHit), 0);
+    assert_eq!(snap.counter(CounterId::SegDeqCellHit), 0);
+
+    // The bounded ring attributes every completed op to exactly one path.
+    let ring = BoundedBuilder::new().max_threads(3).build::<u64>();
+    let snap = churn_and_drain(&ring);
+    if turnq_telemetry::ENABLED {
+        assert_eq!(snap.counter(CounterId::EnqOps), PER_THREAD);
+        assert_eq!(
+            snap.counter(CounterId::BqEnqFast) + snap.counter(CounterId::BqEnqSlow),
+            snap.counter(CounterId::EnqOps)
+        );
+        assert_eq!(
+            snap.counter(CounterId::BqDeqFast) + snap.counter(CounterId::BqDeqSlow),
+            snap.counter(CounterId::DeqOps)
+        );
+    } else {
+        assert_eq!(snap.counter(CounterId::EnqOps), 0);
+        assert_eq!(snap.counter(CounterId::BqEnqFast), 0);
+        assert_eq!(snap.counter(CounterId::BqDeqFast), 0);
+    }
+
+    // Once drained, every sharded home-lane enqueue was dequeued as a
+    // home-lane hit or a steal.
+    let sharded = ShardedBuilder::new().max_threads(3).build::<u64>();
+    let snap = churn_and_drain(&sharded);
+    if turnq_telemetry::ENABLED {
+        assert_eq!(snap.counter(CounterId::ShardEnqHome), PER_THREAD);
+        assert_eq!(
+            snap.counter(CounterId::ShardEnqHome),
+            snap.counter(CounterId::ShardDeqHit) + snap.counter(CounterId::ShardDeqSteal)
+        );
+    } else {
+        assert_eq!(snap.counter(CounterId::ShardEnqHome), 0);
+        assert_eq!(snap.counter(CounterId::ShardDeqHit), 0);
+        assert_eq!(snap.counter(CounterId::ShardDeqSteal), 0);
+    }
 }
 
 #[test]
 fn helping_depth_respects_the_paper_bound() {
     let max_threads = THREADS + 1;
     let queue: Arc<TurnQueue<u64>> = Arc::new(TurnQueue::with_max_threads(max_threads));
-    let _ = churn(&queue);
+    let _ = churn(&*queue, THREADS);
     while queue.dequeue().is_some() {}
 
     let snap = queue.telemetry_snapshot();
@@ -181,7 +240,7 @@ fn registry_churn_balances_claims_and_releases() {
 #[test]
 fn latency_samples_account_for_every_operation() {
     let queue: Arc<TurnQueue<u64>> = Arc::new(TurnQueue::with_max_threads(THREADS + 1));
-    let _ = churn(&queue);
+    let _ = churn(&*queue, THREADS);
     while queue.dequeue().is_some() {}
 
     let snap = queue.telemetry_snapshot();
