@@ -28,7 +28,7 @@ use turnq_api::{ConcurrentQueue, Progress, QueueFamily, QueueIntrospect, QueuePr
 use std::sync::Arc;
 use turnq_hazard::HazardPointers;
 use turnq_telemetry::{
-    CounterId, EventKind, OpKey, OpTimer, TelemetryHandle, TelemetrySheet, TelemetrySnapshot,
+    CounterId, EventKind, OpKey, TelemetryHandle, TelemetrySheet, TelemetrySnapshot,
 };
 use turnq_threadreg::ThreadRegistry;
 
@@ -145,7 +145,7 @@ impl<T> FaaArrayQueue<T> {
     pub fn enqueue(&self, item: T) {
         let tid = self.registry.current_index();
         // Single-path baseline: all latency lands under the slow-path key.
-        let timer = OpTimer::start();
+        let timer = self.telemetry.op_timer(tid);
         self.telemetry.event(tid, EventKind::OpStart, 0);
         let item_ptr = Box::into_raw(Box::new(item));
         loop {
@@ -195,8 +195,7 @@ impl<T> FaaArrayQueue<T> {
                         self.hp.clear(tid);
                         self.telemetry.bump(tid, CounterId::EnqOps);
                         self.telemetry.event(tid, EventKind::OpFinish, 0);
-                        self.telemetry
-                            .record_latency(tid, OpKey::EnqSlow, timer.nanos());
+                        self.telemetry.record_op(tid, OpKey::EnqSlow, &timer);
                         return;
                     }
                     self.telemetry.bump(tid, CounterId::CasFailNext);
@@ -236,8 +235,7 @@ impl<T> FaaArrayQueue<T> {
                 self.hp.clear(tid);
                 self.telemetry.bump(tid, CounterId::EnqOps);
                 self.telemetry.event(tid, EventKind::OpFinish, 0);
-                self.telemetry
-                    .record_latency(tid, OpKey::EnqSlow, timer.nanos());
+                self.telemetry.record_op(tid, OpKey::EnqSlow, &timer);
                 return;
             }
             // A dequeuer poisoned our cell; burn the ticket and retry.
@@ -247,7 +245,7 @@ impl<T> FaaArrayQueue<T> {
     /// Lock-free dequeue: take a ticket, swap the cell out.
     pub fn dequeue(&self) -> Option<T> {
         let tid = self.registry.current_index();
-        let timer = OpTimer::start();
+        let timer = self.telemetry.op_timer(tid);
         self.telemetry.event(tid, EventKind::OpStart, 1);
         loop {
             let lhead = match self.hp.try_protect(tid, HP_NODE, &self.head) {
@@ -267,8 +265,7 @@ impl<T> FaaArrayQueue<T> {
                 self.hp.clear(tid);
                 self.telemetry.bump(tid, CounterId::DeqEmpty);
                 self.telemetry.event(tid, EventKind::OpFinish, 0);
-                self.telemetry
-                    .record_latency(tid, OpKey::DeqSlow, timer.nanos());
+                self.telemetry.record_op(tid, OpKey::DeqSlow, &timer);
                 return None;
             }
             // ORDERING(fa.deq-ticket): SEQ_CST — dequeue ticket (see
@@ -284,8 +281,7 @@ impl<T> FaaArrayQueue<T> {
                     self.hp.clear(tid);
                     self.telemetry.bump(tid, CounterId::DeqEmpty);
                     self.telemetry.event(tid, EventKind::OpFinish, 0);
-                    self.telemetry
-                        .record_latency(tid, OpKey::DeqSlow, timer.nanos());
+                    self.telemetry.record_op(tid, OpKey::DeqSlow, &timer);
                     return None;
                 }
                 // ORDERING(fa.head-advance): SEQ_CST / RELAXED — head
@@ -319,8 +315,7 @@ impl<T> FaaArrayQueue<T> {
             self.hp.clear(tid);
             self.telemetry.bump(tid, CounterId::DeqOps);
             self.telemetry.event(tid, EventKind::OpFinish, 0);
-            self.telemetry
-                .record_latency(tid, OpKey::DeqSlow, timer.nanos());
+            self.telemetry.record_op(tid, OpKey::DeqSlow, &timer);
             // SAFETY(claim-owner): unique swap winner (our FAA ticket) for
             // a real item pointer.
             return Some(*unsafe { Box::from_raw(it) });

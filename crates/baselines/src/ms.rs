@@ -20,7 +20,7 @@ use turnq_api::{ConcurrentQueue, Progress, QueueFamily, QueueIntrospect, QueuePr
 use std::sync::Arc;
 use turnq_hazard::HazardPointers;
 use turnq_telemetry::{
-    CounterId, EventKind, OpKey, OpTimer, TelemetryHandle, TelemetrySheet, TelemetrySnapshot,
+    CounterId, EventKind, OpKey, TelemetryHandle, TelemetrySheet, TelemetrySnapshot,
 };
 use turnq_threadreg::ThreadRegistry;
 
@@ -117,7 +117,7 @@ impl<T> MSQueue<T> {
 
     pub(crate) fn enqueue_with(&self, tid: usize, item: T) {
         // Single-path baseline: all latency lands under the slow-path key.
-        let timer = OpTimer::start();
+        let timer = self.telemetry.op_timer(tid);
         self.telemetry.event(tid, EventKind::OpStart, 0);
         let node = MsNode::alloc(Some(item));
         loop {
@@ -178,12 +178,11 @@ impl<T> MSQueue<T> {
         self.hp.clear(tid);
         self.telemetry.bump(tid, CounterId::EnqOps);
         self.telemetry.event(tid, EventKind::OpFinish, 0);
-        self.telemetry
-            .record_latency(tid, OpKey::EnqSlow, timer.nanos());
+        self.telemetry.record_op(tid, OpKey::EnqSlow, &timer);
     }
 
     pub(crate) fn dequeue_with(&self, tid: usize) -> Option<T> {
-        let timer = OpTimer::start();
+        let timer = self.telemetry.op_timer(tid);
         self.telemetry.event(tid, EventKind::OpStart, 1);
         loop {
             let lhead = match self.hp.try_protect(tid, HP_HEAD_TAIL, &self.head) {
@@ -211,8 +210,7 @@ impl<T> MSQueue<T> {
                     self.hp.clear(tid);
                     self.telemetry.bump(tid, CounterId::DeqEmpty);
                     self.telemetry.event(tid, EventKind::OpFinish, 0);
-                    self.telemetry
-                        .record_latency(tid, OpKey::DeqSlow, timer.nanos());
+                    self.telemetry.record_op(tid, OpKey::DeqSlow, &timer);
                     return None; // observed empty
                 }
                 // Tail is lagging: help it, then retry.
@@ -246,8 +244,7 @@ impl<T> MSQueue<T> {
                 unsafe { self.hp.retire(tid, lhead) };
                 self.telemetry.bump(tid, CounterId::DeqOps);
                 self.telemetry.event(tid, EventKind::OpFinish, 0);
-                self.telemetry
-                    .record_latency(tid, OpKey::DeqSlow, timer.nanos());
+                self.telemetry.record_op(tid, OpKey::DeqSlow, &timer);
                 return item;
             }
             self.telemetry.bump(tid, CounterId::CasFailHead);

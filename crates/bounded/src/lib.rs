@@ -43,7 +43,9 @@ use turnq_sync::atomic::{AtomicI64, AtomicU64, AtomicUsize};
 use turnq_sync::cell::UnsafeCell;
 use turnq_sync::hint::spin_loop;
 use turnq_sync::ord;
-use turnq_telemetry::{CounterId, OpKey, OpTimer, TelemetrySheet, TelemetrySnapshot};
+use turnq_telemetry::{
+    CounterId, OpKey, TelemetrySheet, TelemetrySnapshot, DEFAULT_LATENCY_SAMPLE_LOG2,
+};
 use turnq_threadreg::ThreadRegistry;
 
 /// Error returned by [`BoundedQueue::try_enqueue`] on a full queue; carries
@@ -426,6 +428,7 @@ pub struct BoundedBuilder {
     registry: Option<ThreadRegistry>,
     help_scan: bool,
     threshold_reset_override: Option<i64>,
+    latency_sample_log2: u32,
 }
 
 impl Default for BoundedBuilder {
@@ -444,6 +447,7 @@ impl BoundedBuilder {
             registry: None,
             help_scan: true,
             threshold_reset_override: None,
+            latency_sample_log2: DEFAULT_LATENCY_SAMPLE_LOG2,
         }
     }
 
@@ -485,6 +489,14 @@ impl BoundedBuilder {
     /// every lane sees one dense id space).
     pub fn registry(mut self, registry: ThreadRegistry) -> Self {
         self.registry = Some(registry);
+        self
+    }
+
+    /// Latency sampling rate: time one operation in `2^s` per thread
+    /// (default [`DEFAULT_LATENCY_SAMPLE_LOG2`]; `0` times every op).
+    /// Counters stay exact. Must be below 64.
+    pub fn latency_sample_log2(mut self, s: u32) -> Self {
+        self.latency_sample_log2 = s;
         self
     }
 
@@ -547,7 +559,10 @@ impl BoundedBuilder {
             records,
             pending: CachePadded::new(AtomicUsize::new(0)),
             registry,
-            telemetry: Arc::new(TelemetrySheet::new(max_threads)),
+            telemetry: Arc::new(TelemetrySheet::with_latency_sample_log2(
+                max_threads,
+                self.latency_sample_log2,
+            )),
             fast_tries: self.fast_tries,
             defer_spins: self.defer_spins,
             help_scan: self.help_scan,
@@ -775,7 +790,7 @@ impl<T: Send> BoundedQueue<T> {
     /// item written into its data slot, and the index published on `aq`.
     pub fn try_enqueue(&self, item: T) -> Result<(), Full<T>> {
         let tid = self.registry.current_index();
-        let timer = OpTimer::start();
+        let timer = self.telemetry.op_timer(tid);
         self.maybe_help(tid);
         // ORDERING(bq.idx-cache): ACQUIRE — owner-only in steady state
         // (program order suffices); the acquire pairs with the parking
@@ -812,10 +827,10 @@ impl<T: Send> BoundedQueue<T> {
         self.telemetry.bump(tid, CounterId::EnqOps);
         if fast {
             self.telemetry.bump(tid, CounterId::BqEnqFast);
-            self.telemetry.record_latency(tid, OpKey::EnqFast, timer.nanos());
+            self.telemetry.record_op(tid, OpKey::EnqFast, &timer);
         } else {
             self.telemetry.bump(tid, CounterId::BqEnqSlow);
-            self.telemetry.record_latency(tid, OpKey::EnqSlow, timer.nanos());
+            self.telemetry.record_op(tid, OpKey::EnqSlow, &timer);
         }
         Ok(())
     }
@@ -824,20 +839,21 @@ impl<T: Send> BoundedQueue<T> {
     /// threshold emptiness verdict.
     pub fn try_dequeue(&self) -> Option<T> {
         let tid = self.registry.current_index();
-        let timer = OpTimer::start();
+        let timer = self.telemetry.op_timer(tid);
         self.maybe_help(tid);
         let (popped, mut fast) = self.pop_idx(&self.aq, tid, OP_POP_AQ);
         let idx = match popped {
             Some(idx) => idx,
             None => {
                 // An empty verdict is a completed dequeue: meter it and
-                // record its latency on the path that produced it, so
-                // `deq_ops + deq_empty` equals the dequeue latency sample
-                // count (the conservation SLO in the soak harness).
+                // record its latency on the path that produced it, so at
+                // `latency_sample_log2(0)` `deq_ops + deq_empty` equals the
+                // dequeue latency sample count (the conservation SLO in the
+                // soak harness).
                 self.telemetry.bump(tid, CounterId::DeqEmpty);
                 self.telemetry.bump(tid, CounterId::BqEmpty);
                 let key = if fast { OpKey::DeqFast } else { OpKey::DeqSlow };
-                self.telemetry.record_latency(tid, key, timer.nanos());
+                self.telemetry.record_op(tid, key, &timer);
                 return None;
             }
         };
@@ -857,10 +873,10 @@ impl<T: Send> BoundedQueue<T> {
         self.telemetry.bump(tid, CounterId::DeqOps);
         if fast {
             self.telemetry.bump(tid, CounterId::BqDeqFast);
-            self.telemetry.record_latency(tid, OpKey::DeqFast, timer.nanos());
+            self.telemetry.record_op(tid, OpKey::DeqFast, &timer);
         } else {
             self.telemetry.bump(tid, CounterId::BqDeqSlow);
-            self.telemetry.record_latency(tid, OpKey::DeqSlow, timer.nanos());
+            self.telemetry.record_op(tid, OpKey::DeqSlow, &timer);
         }
         Some(item)
     }

@@ -195,7 +195,7 @@ impl<T> SegCore<T> {
     fn enqueue_with(&self, myidx: usize, item: T) {
         debug_assert!(myidx < self.inner.max_threads());
         let tel: &TelemetrySheet = &self.inner.telemetry;
-        let timer = OpTimer::start();
+        let timer = tel.op_timer(myidx);
         tel.event(myidx, EventKind::OpStart, 0);
         let k = self.seg_size as u64;
         // The item travels through the loop in an Option so a poisoned cell
@@ -320,7 +320,7 @@ impl<T> SegCore<T> {
     fn dequeue_with(&self, myidx: usize) -> Option<T> {
         debug_assert!(myidx < self.inner.max_threads());
         let tel: &TelemetrySheet = &self.inner.telemetry;
-        let timer = OpTimer::start();
+        let timer = tel.op_timer(myidx);
         tel.event(myidx, EventKind::OpStart, 1);
         let k = self.seg_size as u64;
         loop {

@@ -19,7 +19,7 @@
 use std::marker::PhantomData;
 use turnq_sync::atomic::AtomicBool;
 use turnq_sync::ord;
-use turnq_telemetry::{CounterId, EventKind, OpKey, OpTimer};
+use turnq_telemetry::{CounterId, EventKind, OpKey};
 
 use crate::queue::TurnQueue;
 
@@ -133,7 +133,7 @@ impl<T> MpscConsumer<'_, T> {
     #[inline]
     pub fn dequeue(&mut self) -> Option<T> {
         let inner = &self.queue.inner;
-        let timer = OpTimer::start();
+        let timer = inner.telemetry.op_timer(self.tid);
         inner.telemetry.event(self.tid, EventKind::OpStart, 1);
         // ORDERING(vr.head-own): RELAXED — single-consumer contract: only
         // this endpoint ever advances head, so this reads back our own
@@ -278,7 +278,7 @@ impl<T> SpmcProducer<'_, T> {
     #[inline]
     pub fn enqueue(&mut self, item: T) {
         let inner = &self.queue.inner;
-        let timer = OpTimer::start();
+        let timer = inner.telemetry.op_timer(self.tid as usize);
         inner.telemetry.event(self.tid as usize, EventKind::OpStart, 0);
         // Reuse a recycled node from this producer's pool list when one is
         // available (the pool's acquire is also O(1), so the progress bound

@@ -10,7 +10,7 @@ use turnq_api::{ConcurrentQueue, Progress, QueueFamily, QueueIntrospect, QueuePr
 use std::sync::Arc;
 use turnq_hazard::{ConditionalHazardPointers, ConditionalReclaim, HazardPointers};
 use turnq_telemetry::{
-    CounterId, EventKind, OpKey, OpTimer, TelemetryHandle, TelemetrySheet, TelemetrySnapshot,
+    CounterId, EventKind, OpKey, TelemetryHandle, TelemetrySheet, TelemetrySnapshot,
 };
 use turnq_threadreg::ThreadRegistry;
 
@@ -191,7 +191,7 @@ impl<T> KPQueue<T> {
     pub(crate) fn enqueue_with(&self, tid: usize, item: T) {
         // Every KP op runs the full helping protocol — a single path, so
         // all latency lands under the slow-path key.
-        let timer = OpTimer::start();
+        let timer = self.telemetry.op_timer(tid);
         self.telemetry.event(tid, EventKind::OpStart, 0);
         let value = Box::into_raw(Box::new(item));
         let phase = self.max_phase(tid) + 1;
@@ -203,12 +203,11 @@ impl<T> KPQueue<T> {
         self.clear_all(tid);
         self.telemetry.bump(tid, CounterId::EnqOps);
         self.telemetry.event(tid, EventKind::OpFinish, 0);
-        self.telemetry
-            .record_latency(tid, OpKey::EnqSlow, timer.nanos());
+        self.telemetry.record_op(tid, OpKey::EnqSlow, &timer);
     }
 
     pub(crate) fn dequeue_with(&self, tid: usize) -> Option<T> {
-        let timer = OpTimer::start();
+        let timer = self.telemetry.op_timer(tid);
         self.telemetry.event(tid, EventKind::OpStart, 1);
         let phase = self.max_phase(tid) + 1;
         let desc = OpDesc::alloc(phase, true, false, ptr::null_mut());
@@ -227,8 +226,7 @@ impl<T> KPQueue<T> {
             self.clear_all(tid);
             self.telemetry.bump(tid, CounterId::DeqEmpty);
             self.telemetry.event(tid, EventKind::OpFinish, 0);
-            self.telemetry
-                .record_latency(tid, OpKey::DeqSlow, timer.nanos());
+            self.telemetry.record_op(tid, OpKey::DeqSlow, &timer);
             return None; // empty queue
         }
         // Our request was assigned `node` (the head at linearization); the
@@ -272,8 +270,7 @@ impl<T> KPQueue<T> {
         unsafe { self.node_hp.retire(tid, node) };
         self.telemetry.bump(tid, CounterId::DeqOps);
         self.telemetry.event(tid, EventKind::OpFinish, 0);
-        self.telemetry
-            .record_latency(tid, OpKey::DeqSlow, timer.nanos());
+        self.telemetry.record_op(tid, OpKey::DeqSlow, &timer);
         // SAFETY(tid-exclusive): unique Box::into_raw value pointer; the
         // node's dequeue was assigned to our registered tid, making us its
         // unique consumer.
