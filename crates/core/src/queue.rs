@@ -152,10 +152,8 @@ unsafe impl<T: Send> Sync for TurnQueue<T> {}
 
 /// Builder for [`TurnQueue`]: the single home of every configuration knob.
 ///
-/// The historical constructors (`new`/`with_max_threads`/`with_config`/
-/// `with_full_config`/`with_pool_config`) are thin wrappers over this —
-/// prefer the builder in new code, especially for the knobs the positional
-/// constructors never grew (`fast_tries`).
+/// The two shorthand constructors (`new`/`with_max_threads`) are thin
+/// wrappers over this; every other knob is set here.
 ///
 /// ```
 /// use turn_queue::{TurnQueue, TurnQueueBuilder};
@@ -482,56 +480,6 @@ impl<T> TurnQueue<T> {
     /// new code.
     pub fn with_max_threads(max_threads: usize) -> Self {
         Self::builder().max_threads(max_threads).build()
-    }
-
-    /// Like [`with_max_threads`](Self::with_max_threads), with an explicit
-    /// hazard-pointer scan threshold `R`
-    /// ([`TurnQueueBuilder::hp_scan_threshold`]).
-    ///
-    /// Thin wrapper over [`builder`](Self::builder) — prefer the builder in
-    /// new code.
-    pub fn with_config(max_threads: usize, hp_scan_threshold: usize) -> Self {
-        Self::builder()
-            .max_threads(max_threads)
-            .hp_scan_threshold(hp_scan_threshold)
-            .build()
-    }
-
-    /// Thread bound, HP scan threshold `R`, and the deliberate-backoff spin
-    /// budget of §4.1 ([`TurnQueueBuilder::backoff_spins`]).
-    ///
-    /// Thin wrapper over [`builder`](Self::builder) — prefer the builder in
-    /// new code.
-    pub fn with_full_config(
-        max_threads: usize,
-        hp_scan_threshold: usize,
-        backoff_spins: u32,
-    ) -> Self {
-        Self::builder()
-            .max_threads(max_threads)
-            .hp_scan_threshold(hp_scan_threshold)
-            .backoff_spins(backoff_spins)
-            .build()
-    }
-
-    /// [`with_full_config`](Self::with_full_config) plus an explicit
-    /// per-thread node-pool capacity
-    /// ([`TurnQueueBuilder::pool_capacity`]).
-    ///
-    /// Thin wrapper over [`builder`](Self::builder) — prefer the builder in
-    /// new code.
-    pub fn with_pool_config(
-        max_threads: usize,
-        hp_scan_threshold: usize,
-        backoff_spins: u32,
-        pool_capacity: usize,
-    ) -> Self {
-        Self::builder()
-            .max_threads(max_threads)
-            .hp_scan_threshold(hp_scan_threshold)
-            .backoff_spins(backoff_spins)
-            .pool_capacity(pool_capacity)
-            .build()
     }
 
     /// Pop a recycled node from the caller's free list, or allocate a fresh
@@ -1963,7 +1911,7 @@ mod tests {
 
     #[test]
     fn backoff_config_preserves_semantics() {
-        let q: TurnQueue<u32> = TurnQueue::with_full_config(2, 0, 256);
+        let q: TurnQueue<u32> = TurnQueueBuilder::new().max_threads(2).backoff_spins(256).build();
         for i in 0..200 {
             q.enqueue(i);
         }
@@ -1977,7 +1925,8 @@ mod tests {
     fn backoff_mpmc_delivery() {
         const THREADS: usize = 4;
         const PER: u64 = 2_000;
-        let q: Arc<TurnQueue<u64>> = Arc::new(TurnQueue::with_full_config(THREADS, 0, 64));
+        let q: Arc<TurnQueue<u64>> =
+            Arc::new(TurnQueueBuilder::new().max_threads(THREADS).backoff_spins(64).build());
         let received = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|s| {
             for p in 0..THREADS / 2 {
@@ -2016,9 +1965,13 @@ mod tests {
             0
         };
         assert_eq!(q.fast_tries(), expected);
-        // The historical constructors are thin wrappers over the builder,
-        // so they inherit the same default.
-        let q2: TurnQueue<u32> = TurnQueue::with_pool_config(3, 1, 16, 8);
+        // Setting the other knobs leaves the fast-path default alone.
+        let q2: TurnQueue<u32> = TurnQueueBuilder::new()
+            .max_threads(3)
+            .hp_scan_threshold(1)
+            .backoff_spins(16)
+            .pool_capacity(8)
+            .build();
         assert_eq!(q2.fast_tries(), expected);
         assert_eq!(q2.max_threads(), 3);
         assert_eq!(q2.pool_capacity(), 8);
