@@ -56,7 +56,7 @@ use turnq_api::{
 use turnq_sync::atomic::AtomicU64;
 use turnq_sync::ord;
 use turnq_telemetry::{CounterId, EventKind, OpKey, OpTimer, TelemetrySheet, TelemetrySnapshot};
-use turnq_threadreg::RegistryFull;
+use turnq_threadreg::{RegistryFull, ThreadRegistry};
 
 use crate::node::{
     encode_fast, Node, SegCell, CELL_EMPTY, CELL_FULL, CELL_POISONED, CELL_TAKEN, IDX_NONE,
@@ -590,15 +590,70 @@ impl<T: Send> SegTurnQueue<T> {
         }
     }
 
+    /// [`enqueue`](Self::enqueue) as registry index `tid`, without a
+    /// registry lookup: for a front-end that shares this queue's registry
+    /// ([`TurnQueueBuilder::registry`]) and has already looked the
+    /// caller's index up.
+    ///
+    /// # Safety
+    ///
+    /// `tid` must be the calling thread's current index in this queue's
+    /// registry. Any other index lets two threads write one per-thread
+    /// slot, which every single-writer argument of the queue forbids.
+    #[doc(hidden)]
+    #[inline]
+    pub unsafe fn enqueue_as(&self, tid: usize, item: T) {
+        debug_assert_eq!(self.registry().peek_index(), Some(tid));
+        match &self.imp {
+            SegImpl::PerItem(q) => q.enqueue_with(tid, item),
+            SegImpl::Seg(core) => core.enqueue_with(tid, item),
+        }
+    }
+
+    /// [`dequeue`](Self::dequeue) as registry index `tid`.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`enqueue_as`](Self::enqueue_as).
+    #[doc(hidden)]
+    #[inline]
+    pub unsafe fn dequeue_as(&self, tid: usize) -> Option<T> {
+        debug_assert_eq!(self.registry().peek_index(), Some(tid));
+        match &self.imp {
+            SegImpl::PerItem(q) => q.dequeue_with(tid),
+            SegImpl::Seg(core) => core.dequeue_with(tid),
+        }
+    }
+
+    /// [`is_empty`](Self::is_empty) as registry index `tid`.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`enqueue_as`](Self::enqueue_as): the segmented
+    /// probe publishes a hazard pointer in `tid`'s slot.
+    #[doc(hidden)]
+    #[inline]
+    pub unsafe fn is_empty_as(&self, tid: usize) -> bool {
+        debug_assert_eq!(self.registry().peek_index(), Some(tid));
+        match &self.imp {
+            SegImpl::PerItem(q) => q.is_empty(),
+            SegImpl::Seg(core) => core.is_empty_probe(tid),
+        }
+    }
+
+    fn registry(&self) -> &ThreadRegistry {
+        match &self.imp {
+            SegImpl::PerItem(q) => &q.registry,
+            SegImpl::Seg(core) => &core.inner.registry,
+        }
+    }
+
     /// A handle caching the calling thread's registry index (cannot be
     /// sent to another thread) — the segment counterpart of
     /// [`TurnQueue::handle`].
     #[inline]
     pub fn handle(&self) -> Result<SegHandle<'_, T>, RegistryFull> {
-        let tid = match &self.imp {
-            SegImpl::PerItem(q) => q.registry.try_current_index()?,
-            SegImpl::Seg(core) => core.inner.registry.try_current_index()?,
-        };
+        let tid = self.registry().try_current_index()?;
         Ok(SegHandle {
             queue: self,
             tid,

@@ -50,7 +50,7 @@ pub use events::{Event, EventKind, RING_CAPACITY};
 pub use latency::{
     latency_sample_log2_for, OpKey, OpTimer, DEFAULT_LATENCY_SAMPLE_LOG2, N_OP_KEYS,
 };
-pub use sheet::{TelemetryHandle, TelemetrySheet};
+pub use sheet::{TelemetryHandle, TelemetrySheet, LATENCY_BLOCK_BYTES};
 pub use snapshot::{
     all_metric_names, LatencySeries, TelemetrySnapshot, EXTRA_COUNTER_NAMES, GAUGE_NAMES,
     HISTOGRAM_NAMES, LANE_GAUGE_NAMES,

@@ -14,10 +14,24 @@
 //! The atomics come from `turnq_sync::observer` — always std, never the
 //! model checker's instrumented wrappers (see that module's docs for why
 //! observers are exempt).
+//!
+//! ## Lazy latency blocks
+//!
+//! A row's latency histograms are its one large part
+//! ([`LATENCY_BLOCK_BYTES`], against about 2 KiB for everything else), and
+//! most rows of a `max_threads`-sized sheet never record. So the block is
+//! allocated by the row's owner on its first sampled
+//! [`record_latency`](TelemetrySheet::record_latency) and published
+//! through a [`OnceLock`]: one allocation per row lifetime, never on a
+//! counter or event path. Only the owner initialises its row's lock, so
+//! the initialisation never waits on another thread; readers see a row
+//! without a block as "no samples".
 
 #[cfg(feature = "probe")]
 use crossbeam_utils::CachePadded;
 use std::sync::Arc;
+#[cfg(feature = "probe")]
+use std::sync::OnceLock;
 #[cfg(feature = "probe")]
 use turnq_sync::observer::{AtomicU64, Ordering};
 
@@ -41,6 +55,25 @@ const LAT_BUCKETS: usize = RANGES << SHEET_SUB_BUCKET_BITS;
 #[cfg(feature = "probe")]
 const LAT_STATS: usize = 4;
 
+/// Cells of one latency series: `LAT_STATS` stat cells, then
+/// `LAT_BUCKETS` histogram buckets.
+#[cfg(feature = "probe")]
+const SERIES_CELLS: usize = LAT_STATS + LAT_BUCKETS;
+
+/// Cells of one row's latency block: `N_OP_KEYS` series.
+#[cfg(feature = "probe")]
+const LAT_CELLS: usize = N_OP_KEYS * SERIES_CELLS;
+
+/// Heap bytes of one row's latency block — the only telemetry allocation
+/// a recording thread ever causes, made once per row on the owner's first
+/// sampled op: 8 series × (4 + 1024) cells × 8 B = 65 792 B. 0 with
+/// `probe` off (a sheet then stores nothing).
+#[cfg(feature = "probe")]
+pub const LATENCY_BLOCK_BYTES: usize = LAT_CELLS * std::mem::size_of::<u64>();
+/// Heap bytes of one row's latency block (0: `probe` is off).
+#[cfg(not(feature = "probe"))]
+pub const LATENCY_BLOCK_BYTES: usize = 0;
+
 /// Flight-recorder reports kept per sheet; later dumps only bump the
 /// `stall_dump` counter (a black box records the first incident, not an
 /// unbounded log).
@@ -61,11 +94,11 @@ struct ThreadRow {
     /// Total events ever recorded by this thread; the next write goes to
     /// `ring[ring_pos % RING_CAPACITY]`.
     ring_pos: AtomicU64,
-    /// Latency histograms: `N_OP_KEYS` log-linear series flattened as
-    /// `key * LAT_BUCKETS + bucket` (shared bucket math, `latency.rs`).
-    lat: Box<[AtomicU64]>,
-    /// Per-series `(count, sum, max, min)` cells, `LAT_STATS` per key.
-    lat_stats: Box<[AtomicU64]>,
+    /// Latency block, allocated by the owner on its first sampled op
+    /// (see the module docs): one series per key, each `LAT_STATS`
+    /// `(count, sum, max, min)` cells then `LAT_BUCKETS` log-linear
+    /// buckets (shared bucket math, `latency.rs`).
+    lat: OnceLock<Box<[AtomicU64]>>,
     /// Xorshift state of the latency sampler (never 0; see
     /// [`TelemetrySheet::op_timer`]).
     sample_rng: AtomicU64,
@@ -79,12 +112,7 @@ impl ThreadRow {
             depth: (0..depth_buckets).map(|_| AtomicU64::new(0)).collect(),
             ring: std::array::from_fn(|_| AtomicU64::new(0)),
             ring_pos: AtomicU64::new(0),
-            lat: (0..N_OP_KEYS * LAT_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            // min cells (offset 3) start at u64::MAX so the first sample
-            // always wins.
-            lat_stats: (0..N_OP_KEYS * LAT_STATS)
-                .map(|i| AtomicU64::new(if i % LAT_STATS == 3 { u64::MAX } else { 0 }))
-                .collect(),
+            lat: OnceLock::new(),
             // Distinct odd (so nonzero) seeds keep rows' samples
             // uncorrelated.
             sample_rng: AtomicU64::new((tid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
@@ -95,6 +123,29 @@ impl ThreadRow {
     #[inline]
     fn bump(&self, cell: &AtomicU64, n: u64) {
         cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+    }
+
+    /// This row's latency block, allocating it on first use (owner only).
+    #[inline(always)]
+    fn latency_block(&self) -> &[AtomicU64] {
+        match self.lat.get() {
+            Some(block) => block,
+            None => self.init_latency_block(),
+        }
+    }
+
+    /// The row's one telemetry allocation. Only the owner calls it, so the
+    /// `OnceLock` never waits.
+    #[cold]
+    #[inline(never)]
+    fn init_latency_block(&self) -> &[AtomicU64] {
+        self.lat.get_or_init(|| {
+            (0..LAT_CELLS)
+                // min cells (stat offset 3) start at u64::MAX so the
+                // first sample always wins.
+                .map(|i| AtomicU64::new(if i % SERIES_CELLS == 3 { u64::MAX } else { 0 }))
+                .collect()
+        })
     }
 }
 
@@ -195,23 +246,27 @@ impl TelemetrySheet {
     ///
     /// Same owner-only plain-store discipline as [`bump`](Self::bump):
     /// one histogram-bucket increment plus four stat-cell stores, no RMW,
-    /// no loop.
+    /// no loop. The row's first sample allocates its latency block
+    /// ([`LATENCY_BLOCK_BYTES`]).
     #[inline(always)]
     #[cfg_attr(not(feature = "probe"), allow(unused_variables))]
     pub fn record_latency(&self, tid: usize, key: OpKey, nanos: u64) {
         #[cfg(feature = "probe")]
         {
             let row = &self.rows[tid];
-            let bucket = bucket_index(SHEET_SUB_BUCKET_BITS, nanos);
-            row.bump(&row.lat[(key as usize) * LAT_BUCKETS + bucket], 1);
-            let s = (key as usize) * LAT_STATS;
-            row.bump(&row.lat_stats[s], 1);
-            row.bump(&row.lat_stats[s + 1], nanos);
-            let max = &row.lat_stats[s + 2];
+            let block = row.latency_block();
+            let s = (key as usize) * SERIES_CELLS;
+            row.bump(
+                &block[s + LAT_STATS + bucket_index(SHEET_SUB_BUCKET_BITS, nanos)],
+                1,
+            );
+            row.bump(&block[s], 1);
+            row.bump(&block[s + 1], nanos);
+            let max = &block[s + 2];
             if nanos > max.load(Ordering::Relaxed) {
                 max.store(nanos, Ordering::Relaxed);
             }
-            let min = &row.lat_stats[s + 3];
+            let min = &block[s + 3];
             if nanos < min.load(Ordering::Relaxed) {
                 min.store(nanos, Ordering::Relaxed);
             }
@@ -343,21 +398,23 @@ impl TelemetrySheet {
             for (d, cell) in row.depth.iter().enumerate() {
                 snap.add_depth_bucket(d, cell.load(Ordering::Relaxed));
             }
-            for key in OpKey::ALL {
-                let s = (key as usize) * LAT_STATS;
-                let count = row.lat_stats[s].load(Ordering::Relaxed);
+            // A row without a block has never been sampled.
+            let Some(block) = row.lat.get() else { continue };
+            for (key, series) in OpKey::ALL.into_iter().zip(block.chunks_exact(SERIES_CELLS)) {
+                let (stats, buckets) = series.split_at(LAT_STATS);
+                let count = stats[0].load(Ordering::Relaxed);
                 if count == 0 {
                     continue;
                 }
                 snap.add_latency_stats(
                     key,
                     count,
-                    row.lat_stats[s + 1].load(Ordering::Relaxed),
-                    row.lat_stats[s + 2].load(Ordering::Relaxed),
-                    row.lat_stats[s + 3].load(Ordering::Relaxed),
+                    stats[1].load(Ordering::Relaxed),
+                    stats[2].load(Ordering::Relaxed),
+                    stats[3].load(Ordering::Relaxed),
                 );
-                for b in 0..LAT_BUCKETS {
-                    let n = row.lat[(key as usize) * LAT_BUCKETS + b].load(Ordering::Relaxed);
+                for (b, cell) in buckets.iter().enumerate() {
+                    let n = cell.load(Ordering::Relaxed);
                     if n > 0 {
                         snap.add_latency_bucket(key, b, n);
                     }
@@ -365,6 +422,19 @@ impl TelemetrySheet {
             }
         }
         snap
+    }
+
+    /// Whether `tid`'s row holds its latency block, i.e. has recorded at
+    /// least one latency sample (memory accounting and test aid; always
+    /// `false` with `probe` off).
+    #[cfg_attr(not(feature = "probe"), allow(unused_variables))]
+    pub fn has_latency_block(&self, tid: usize) -> bool {
+        #[cfg(feature = "probe")]
+        {
+            self.rows[tid].lat.get().is_some()
+        }
+        #[cfg(not(feature = "probe"))]
+        false
     }
 
     /// One thread's counter value (test/aggregation aid; Relaxed load).
@@ -521,6 +591,32 @@ mod tests {
         let slow = snap.latency(OpKey::DeqSlow);
         assert_eq!(slow.count(), 1);
         assert_eq!(snap.latency(OpKey::DeqFast).count(), 0);
+    }
+
+    #[test]
+    fn never_sampled_rows_hold_no_latency_block_and_add_no_series() {
+        let sheet = TelemetrySheet::new(3);
+        let blocks = |sheet: &TelemetrySheet| {
+            (0..3).map(|t| sheet.has_latency_block(t)).collect::<Vec<_>>()
+        };
+        for tid in 0..3 {
+            sheet.bump(tid, CounterId::EnqOps);
+            sheet.record_depth(tid, 0);
+            sheet.event(tid, EventKind::OpFinish, 0);
+            let _ = sheet.op_timer(tid); // a sampler step, not a sample
+        }
+        // Counter, depth, event and sampler paths never allocate a block.
+        assert_eq!(blocks(&sheet), [false; 3]);
+        assert_eq!(sheet.snapshot().latency_count(), 0);
+
+        sheet.record_latency(1, OpKey::DeqFast, 40);
+        sheet.record_latency(1, OpKey::DeqFast, 9);
+        assert_eq!(blocks(&sheet), [false, true, false]);
+        let snap = sheet.snapshot();
+        assert_eq!(snap.latency_count(), 2);
+        let series = snap.latency(OpKey::DeqFast);
+        assert_eq!((series.count(), series.sum(), series.max(), series.min()), (2, 49, 40, 9));
+        assert_eq!(snap.counter(CounterId::EnqOps), 3);
     }
 
     fn rng_states(sheet: &TelemetrySheet) -> Vec<u64> {

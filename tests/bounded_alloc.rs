@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use turnq_repro::bounded::Full;
 use turnq_repro::harness::memusage::alloc_snapshot;
+use turnq_repro::telemetry::ENABLED;
 use turnq_repro::{BoundedBuilder, BoundedQueue, ConcurrentQueue};
 
 #[global_allocator]
@@ -104,12 +105,24 @@ fn full_backpressure_loses_nothing_and_steady_state_allocates_nothing() {
     );
 
     // --- Phase 3 (allocator-asserted steady state): with every thread
-    // slot registered and the free-index rings warm, enqueue/dequeue
-    // cycles on this thread must hit the allocator zero times.
-    for i in 0..(2 * CAPACITY as u64 + 16) {
-        q.enqueue(i);
+    // slot registered, the free-index rings warm, and this thread's
+    // telemetry row holding its latency block (allocated on the row's
+    // first sampled op), enqueue/dequeue cycles on this thread must hit
+    // the allocator zero times.
+    let tid = q.registry_handle().current_index();
+    let mut warm = 0u64;
+    while warm < 2 * CAPACITY as u64 + 16
+        || (ENABLED && !q.telemetry().has_latency_block(tid) && warm < 1 << 20)
+    {
+        q.enqueue(warm);
         let _ = q.dequeue();
+        warm += 1;
     }
+    assert_eq!(
+        q.telemetry().has_latency_block(tid),
+        ENABLED,
+        "the window must open after this thread's first latency sample"
+    );
     let before = alloc_snapshot();
     for i in 0..10_000u64 {
         q.enqueue(i);
